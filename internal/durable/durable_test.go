@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -46,25 +47,33 @@ func TestUnframeRejectsEveryCorruption(t *testing.T) {
 	}
 }
 
-// TestWriteFileRoundTrip covers the happy path on the real filesystem,
-// including overwrite.
+// TestWriteFileRoundTrip covers the happy path on the real filesystem
+// and on Mem, including overwrite.
 func TestWriteFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sub", "state.bin")
-	fsys := OS{}
-	for _, payload := range []string{"first", "second, longer than the first"} {
-		if err := WriteFile(fsys, path, []byte(payload)); err != nil {
-			t.Fatal(err)
+	for name, fsys := range map[string]FS{"os": OS{}, "mem": NewMem()} {
+		path := filepath.Join(t.TempDir(), "sub", "state.bin")
+		for _, payload := range []string{"first", "second, longer than the first"} {
+			if err := WriteFile(fsys, path, []byte(payload)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := ReadFile(fsys, path)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if string(got) != payload {
+				t.Fatalf("%s: read %q, want %q", name, got, payload)
+			}
 		}
-		got, err := ReadFile(fsys, path)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := fsys.ReadFile(path + TmpSuffix); !os.IsNotExist(err) {
+			t.Fatalf("%s: temporary file left behind after a clean write", name)
 		}
-		if string(got) != payload {
-			t.Fatalf("read %q, want %q", got, payload)
+		entries, err := fsys.ReadDir(filepath.Dir(path))
+		if err != nil || len(entries) != 1 || entries[0].Name() != "state.bin" || entries[0].IsDir() {
+			t.Fatalf("%s: ReadDir = %v, %v; want exactly the committed file", name, entries, err)
 		}
-	}
-	if _, err := os.Stat(path + TmpSuffix); !os.IsNotExist(err) {
-		t.Fatal("temporary file left behind after a clean write")
+		if _, err := fsys.ReadDir(filepath.Join(filepath.Dir(path), "missing")); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: ReadDir of a missing dir: err = %v, want ErrNotExist", name, err)
+		}
 	}
 }
 
@@ -91,29 +100,34 @@ func TestCrashPointSweep(t *testing.T) {
 		t.Fatalf("WriteFile performed only %d ops; protocol steps missing", total)
 	}
 
-	for k := 1; k <= total; k++ {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "state.bin")
-		if err := WriteFile(OS{}, path, old); err != nil {
-			t.Fatal(err)
-		}
-		f := NewFaultFS(OS{})
-		f.CrashAt(k)
-		err := WriteFile(f, path, new_)
-		if k <= total && err == nil {
-			t.Fatalf("crash at op %d: WriteFile succeeded", k)
-		}
-		if !f.Crashed() {
-			t.Fatalf("crash at op %d never fired (run took %d ops)", k, f.Ops())
-		}
+	for name, inner := range map[string]func() FS{"os": func() FS { return OS{} }, "mem": func() FS { return NewMem() }} {
+		for k := 1; k <= total; k++ {
+			disk := inner()
+			dir := t.TempDir()
+			if err := disk.MkdirAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "state.bin")
+			if err := WriteFile(disk, path, old); err != nil {
+				t.Fatal(err)
+			}
+			f := NewFaultFS(disk)
+			f.CrashAt(k)
+			if err := WriteFile(f, path, new_); err == nil {
+				t.Fatalf("%s: crash at op %d: WriteFile succeeded", name, k)
+			}
+			if !f.Crashed() {
+				t.Fatalf("%s: crash at op %d never fired (run took %d ops)", name, k, f.Ops())
+			}
 
-		// Restart: reopen the directory with a clean FS.
-		got, rerr := ReadFile(OS{}, path)
-		if rerr != nil {
-			t.Fatalf("crash at op %d: post-crash read failed: %v", k, rerr)
-		}
-		if !bytes.Equal(got, old) && !bytes.Equal(got, new_) {
-			t.Fatalf("crash at op %d: destination holds neither old nor new payload: %q", k, got)
+			// Restart: reopen the directory with a clean FS.
+			got, rerr := ReadFile(disk, path)
+			if rerr != nil {
+				t.Fatalf("%s: crash at op %d: post-crash read failed: %v", name, k, rerr)
+			}
+			if !bytes.Equal(got, old) && !bytes.Equal(got, new_) {
+				t.Fatalf("%s: crash at op %d: destination holds neither old nor new payload: %q", name, k, got)
+			}
 		}
 	}
 }

@@ -228,7 +228,7 @@ func (j *Job) Deadline() (time.Time, bool) {
 func (j *Job) CancelRequested() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.cancelCause != "" || j.state == StateCancelled || j.state == StateDeadline
+	return j.cancelCause != ""
 }
 
 // Progress returns the last observed simulated time and working-node
@@ -401,12 +401,12 @@ func (j *Job) publishLocked(ev Event, terminal bool) {
 }
 
 // beginRun claims a queued job for execution. It returns false when the
-// job is no longer claimable — cancelled or deadline-killed while it sat
-// in the queue — in which case the worker must skip it.
+// job was asked to stop while it sat in the queue: the stop request
+// terminates such a job itself, so the worker must skip it.
 func (j *Job) beginRun(now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.state != StateQueued || j.cancelCause != "" {
 		return false
 	}
 	j.state = StateRunning
@@ -429,28 +429,23 @@ func (j *Job) attachSupervisor(s *sim.Supervisor) {
 	j.mu.Unlock()
 }
 
-// requestStop records a stop request. Queued jobs transition to their
-// terminal state immediately (queuedTerminal true — the caller must then
-// release pool-level bookkeeping); running jobs get the cause recorded
-// and their supervisor flagged, and reach the terminal state when the
-// worker acknowledges. The first cause wins; requests on terminal or
-// already-stopping jobs report effective false.
-func (j *Job) requestStop(cause CancelCause, now time.Time) (queuedTerminal, effective bool) {
+// requestStop records a stop request; the first cause wins, and requests
+// on terminal or already-stopping jobs report effective false. It only
+// records: a running job's supervisor is flagged and its worker
+// terminates it when the run comes back, while a job still queued
+// (queued true) will never be claimed by a worker — beginRun refuses it
+// — so the caller terminates it.
+func (j *Job) requestStop(cause CancelCause) (queued, effective bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || j.cancelCause != "" {
 		return false, false
 	}
-	if j.state == StateQueued {
-		j.cancelCause = cause
-		j.terminalStopLocked(cause, now)
-		return true, true
-	}
 	j.cancelCause = cause
 	if j.super != nil {
 		j.super.Stop.Store(true)
 	}
-	return false, true
+	return j.state == StateQueued, true
 }
 
 // stopCause returns the recorded stop cause ("" when none).
@@ -483,39 +478,6 @@ func (j *Job) checkStall(now time.Time, window time.Duration) bool {
 	return true
 }
 
-// terminalStopLocked finalizes a cancel/deadline stop: state, error,
-// terminal event, lifecycle-context cancellation.
-func (j *Job) terminalStopLocked(cause CancelCause, now time.Time) {
-	switch cause {
-	case CauseDeadline:
-		j.state = StateDeadline
-		j.err = fmt.Errorf("jobqueue: job %s exceeded its %gs deadline", j.ID, j.Spec.DeadlineSeconds)
-		j.finishedAt = now
-		j.publishLocked(Event{Type: EventDeadline, JobID: j.ID, SimT: j.simT, Error: j.err.Error()}, true)
-	default:
-		j.state = StateCancelled
-		j.err = fmt.Errorf("jobqueue: job %s cancelled", j.ID)
-		j.finishedAt = now
-		j.publishLocked(Event{Type: EventCancelled, JobID: j.ID, SimT: j.simT, Error: j.err.Error()}, true)
-	}
-	j.ctxCancel(j.err)
-}
-
-// markCancelled and markDeadline are the worker-side acknowledgements of
-// a stop: the run has been preempted (and any snapshot parked), so the
-// job reaches its terminal state.
-func (j *Job) markCancelled(now time.Time) {
-	j.mu.Lock()
-	j.terminalStopLocked(CauseCancel, now)
-	j.mu.Unlock()
-}
-
-func (j *Job) markDeadline(now time.Time) {
-	j.mu.Lock()
-	j.terminalStopLocked(CauseDeadline, now)
-	j.mu.Unlock()
-}
-
 // progressStride is the minimum horizon fraction between emitted
 // progress events, so a long run does not flood subscribers with every
 // 25-second coverage sample.
@@ -535,33 +497,23 @@ func (j *Job) observeProgress(simT float64, working int) {
 	j.mu.Unlock()
 }
 
-func (j *Job) markDone(res *Result, now time.Time) {
+// publishTerminal records a terminal state with its result and error,
+// sends the terminal event (the same rendering a late subscriber
+// replays), closes every subscription and cancels the lifecycle context,
+// all under the job lock so no reader sees half a transition. It is the
+// last step of every terminal transition.
+func (j *Job) publishTerminal(st State, res *Result, err error, now time.Time) {
 	j.mu.Lock()
-	j.state = StateDone
-	j.result = res
-	j.finishedAt = now
-	j.publishLocked(Event{Type: EventDone, JobID: j.ID, Result: res}, true)
-	j.ctxCancel(errJobFinished)
-	j.mu.Unlock()
-}
-
-func (j *Job) markFailed(err error, now time.Time) {
-	j.mu.Lock()
-	j.state = StateFailed
-	j.err = err
-	j.finishedAt = now
-	j.publishLocked(Event{Type: EventFailed, JobID: j.ID, Error: err.Error()}, true)
+	defer j.mu.Unlock()
+	j.state, j.result, j.err, j.finishedAt = st, res, err, now
+	j.publishLocked(j.snapshotEventLocked(), true)
+	switch st {
+	case StateDone:
+		err = errJobFinished
+	case StateSuspended:
+		err = errJobSuspended
+	}
 	j.ctxCancel(err)
-	j.mu.Unlock()
-}
-
-func (j *Job) markSuspended(now time.Time) {
-	j.mu.Lock()
-	j.state = StateSuspended
-	j.finishedAt = now
-	j.publishLocked(Event{Type: EventSuspended, JobID: j.ID, SimT: j.simT}, true)
-	j.ctxCancel(errJobSuspended)
-	j.mu.Unlock()
 }
 
 // errJobFinished and errJobSuspended are the lifecycle-context causes of

@@ -281,7 +281,7 @@ func (p *Pool) Submit(spec *Spec) (*Job, Outcome, error) {
 		job := p.newJobLocked(key, spec, now)
 		p.mu.Unlock()
 		p.counters.Add("cache_hits", 1)
-		job.markDone(res, now)
+		job.publishTerminal(StateDone, res, nil, now)
 		return job, OutcomeCached, nil
 	}
 	if primary, ok := p.inflight[key]; ok {
@@ -378,9 +378,8 @@ func (p *Pool) deadlineInfeasibleLocked(deadlineSeconds float64) (time.Duration,
 // rollbackAdmission withdraws a job that was registered but never made
 // runnable. Coalesced submissions may have attached to it during the
 // unlocked persist window, so the job is failed (resolving any waiters)
-// before its index entries are removed.
+// once its index entries are gone.
 func (p *Pool) rollbackAdmission(job *Job, cause error) {
-	job.markFailed(&PersistError{Err: cause}, time.Now())
 	p.mu.Lock()
 	if p.inflight[job.Key] == job {
 		delete(p.inflight, job.Key)
@@ -394,6 +393,7 @@ func (p *Pool) rollbackAdmission(job *Job, cause error) {
 	}
 	p.queued--
 	p.mu.Unlock()
+	job.publishTerminal(StateFailed, nil, &PersistError{Err: cause}, time.Now())
 }
 
 // newJobLocked allocates and registers a job record.
@@ -440,25 +440,15 @@ func (p *Pool) Cancel(id string) (job *Job, found, requested bool) {
 	return j, true, p.stop(j, CauseCancel)
 }
 
-// stop routes a stop request to a job and settles the pool-level
-// bookkeeping when the job went terminal while still queued (its worker
-// never ran, so nobody else will release the coalescing entry or the
-// persisted spec).
+// stop routes a stop request to a job. A job stopped while still queued
+// never reaches a worker, so it is terminated here, as a run preempted
+// before its first event.
 func (p *Pool) stop(j *Job, cause CancelCause) bool {
-	queuedTerminal, effective := j.requestStop(cause, time.Now())
-	if !effective {
-		return false
+	queued, effective := j.requestStop(cause)
+	if queued {
+		p.terminate(j, p.decide(j, runEnd{err: errPreempted, cause: cause}), nil, nil, 0)
 	}
-	if queuedTerminal {
-		if cause == CauseDeadline {
-			p.counters.Add("jobs_deadline_exceeded", 1)
-		} else {
-			p.counters.Add("jobs_cancelled", 1)
-		}
-		p.removeJobFiles(j.ID)
-		p.finishJob(j, nil, 0)
-	}
-	return true
+	return effective
 }
 
 // watchdog is the supervision loop: on every tick it enforces deadline
@@ -617,136 +607,154 @@ func (p *Pool) execute(job *Job) {
 	}
 	dequeued := time.Now()
 	if !job.beginRun(dequeued) {
-		// Cancelled or deadline-killed while queued: the stop path
-		// already made the job terminal and released its bookkeeping;
-		// the queue slot just carried a husk.
-		p.finishJob(job, nil, 0)
-		return
+		return // stopped while queued: the stop terminated it
 	}
 	if enq, _, _ := job.Times(); !enq.IsZero() {
 		p.queueWait.Observe(dequeued.Sub(enq).Seconds())
 	}
 
-	var (
-		res  *Result
-		err  error
-		snap *checkpoint.Snapshot
-	)
 	start := time.Now()
-	res, snap, err = p.runGuarded(job)
+	res, snap, err := p.runGuarded(job)
 	wall := time.Since(start).Seconds()
 	p.runDur.Observe(wall)
-
-	// The recorded stop cause decides how a preempted run terminates. A
-	// completed result always wins: a cancel that lands after the last
-	// event is a no-op, not a retroactive kill.
-	cause := job.stopCause()
-	now := time.Now()
-	switch {
-	case res != nil:
+	if res != nil {
 		res.WallSeconds = wall
-		p.counters.Add("jobs_completed", 1)
-		p.counters.Add("runs_executed", 1)
-		job.markDone(res, now)
-		p.removeJobFiles(job.ID)
-		p.finishJob(job, res, wall)
-	case snap != nil && (cause == CauseCancel || cause == CauseDeadline):
-		// Cancelled/deadline-killed mid-run with a checkpoint in hand:
-		// park it under the content key so a resubmission of the same
-		// spec resumes bit-exactly instead of starting over.
-		p.park(job, snap)
-		if cause == CauseDeadline {
-			p.counters.Add("jobs_deadline_exceeded", 1)
-			job.markDeadline(now)
-		} else {
-			p.counters.Add("jobs_cancelled", 1)
-			job.markCancelled(now)
+	}
+	end := runEnd{result: res != nil, snap: snap != nil, err: err, cause: job.stopCause()}
+	p.terminate(job, p.decide(job, end), res, snap, wall)
+}
+
+// diskAction is what a terminal transition does to the job's files.
+type diskAction int
+
+const (
+	// diskKeep leaves the spec (and any older checkpoint): Recover
+	// restarts or resumes the job.
+	diskKeep diskAction = iota
+	// diskRemove deletes the job's files: it never runs again.
+	diskRemove
+	// diskPark rewrites them as a Parked spec + checkpoint pair, claimable
+	// by a resubmission of the same spec but never re-enqueued.
+	diskPark
+	// diskCheckpoint writes the checkpoint beside the spec: Recover
+	// resumes from it.
+	diskCheckpoint
+)
+
+// runEnd is how a run came back; with the job's Spec.Hang and the pool's
+// state dir it is everything decide looks at.
+type runEnd struct {
+	result bool        // the run completed with a result
+	snap   bool        // the run left a checkpoint (drain or preemption)
+	err    error       // nil, errAbortRestartable, errPreempted or a failure
+	cause  CancelCause // the first stop request ("" when none)
+}
+
+// outcome is one row of the terminal decision table.
+type outcome struct {
+	state    State
+	disk     diskAction
+	counters []string
+	err      error // the terminal error (nil for done and suspended)
+}
+
+// decide maps how a run ended to its terminal outcome. A completed
+// result always wins: a stop that lands after the last event is a no-op,
+// not a retroactive kill. Otherwise a checkpoint in hand is parked on a
+// cancel or deadline and written for a restart on a drain or watchdog
+// stall; a run with nothing to show is suspended when its spec can
+// restart it and removed otherwise. DESIGN.md §15 carries the table.
+func (p *Pool) decide(job *Job, e runEnd) outcome {
+	stopped := func(c CancelCause) outcome {
+		if c == CauseDeadline {
+			return outcome{StateDeadline, diskRemove, []string{"jobs_deadline_exceeded"},
+				fmt.Errorf("jobqueue: job %s exceeded its %gs deadline", job.ID, job.Spec.DeadlineSeconds)}
 		}
-		p.finishJob(job, nil, wall)
-	case snap != nil && cause == CauseWatchdog:
-		// Stalled run preempted with a checkpoint: suspend it like a
-		// drain would, so a restart resumes it.
-		if perr := p.persistSnapshot(job, snap); perr != nil {
-			p.counters.Add("persist_errors", 1)
+		return outcome{StateCancelled, diskRemove, []string{"jobs_cancelled"},
+			fmt.Errorf("jobqueue: job %s cancelled", job.ID)}
+	}
+	suspended := outcome{state: StateSuspended, disk: diskKeep, counters: []string{"jobs_suspended"}}
+	switch {
+	case e.result:
+		return outcome{state: StateDone, disk: diskRemove, counters: []string{"jobs_completed", "runs_executed"}}
+	case e.snap && (e.cause == CauseCancel || e.cause == CauseDeadline):
+		out := stopped(e.cause)
+		out.disk = diskPark
+		out.counters = append(out.counters, "jobs_parked")
+		return out
+	case e.snap:
+		// A drain checkpoint, or a watchdog stall caught at a checkpoint.
+		// A failed write still suspends: the spec restarts the job.
+		suspended.disk = diskCheckpoint
+		if e.cause == CauseWatchdog {
+			suspended.counters = append(suspended.counters, "watchdog_preemptions")
 		}
-		p.counters.Add("watchdog_preemptions", 1)
-		p.counters.Add("jobs_suspended", 1)
-		job.markSuspended(now)
-		p.finishJob(job, nil, wall)
-	case snap != nil:
-		// Drain checkpoint: persist and suspend.
-		if perr := p.persistSnapshot(job, snap); perr != nil {
-			p.counters.Add("persist_errors", 1)
-			job.markFailed(fmt.Errorf("jobqueue: drain checkpoint: %w", perr), now)
-			p.finishJob(job, nil, wall)
-			return
+		return suspended
+	case e.err == errAbortRestartable:
+		return suspended // a drained chaos run: the spec restarts it
+	case e.err == errPreempted && e.cause == CauseWatchdog:
+		if p.cfg.StateDir != "" && !job.Spec.Hang {
+			suspended.counters = append(suspended.counters, "watchdog_preemptions")
+			return suspended
 		}
-		p.counters.Add("jobs_suspended", 1)
-		job.markSuspended(now)
-		p.finishJob(job, nil, wall)
-	case err == errAbortRestartable:
-		// Interrupted chaos run: no snapshot, but the persisted spec
-		// lets Recover restart it from scratch.
-		p.counters.Add("jobs_suspended", 1)
-		job.markSuspended(now)
-		p.finishJob(job, nil, wall)
-	case err == errPreempted:
-		// Preempted without a checkpoint (chaos run, no state dir, or
-		// the injected hang probe).
-		switch cause {
-		case CauseDeadline:
-			p.counters.Add("jobs_deadline_exceeded", 1)
-			job.markDeadline(now)
-			p.removeJobFiles(job.ID)
-		case CauseWatchdog:
-			p.counters.Add("watchdog_preemptions", 1)
-			if p.cfg.StateDir != "" && !job.Spec.Hang {
-				// The persisted spec lets Recover restart it.
-				p.counters.Add("jobs_suspended", 1)
-				job.markSuspended(now)
-			} else {
-				p.counters.Add("jobs_failed", 1)
-				job.markFailed(fmt.Errorf("jobqueue: job %s preempted by watchdog: no event progress within %s", job.ID, p.cfg.StallWindow), now)
-				p.removeJobFiles(job.ID)
-			}
-		default:
-			p.counters.Add("jobs_cancelled", 1)
-			job.markCancelled(now)
-			p.removeJobFiles(job.ID)
-		}
-		p.finishJob(job, nil, wall)
-	case err != nil:
-		p.counters.Add("jobs_failed", 1)
-		job.markFailed(err, now)
-		p.removeJobFiles(job.ID)
-		p.finishJob(job, nil, wall)
+		return outcome{StateFailed, diskRemove, []string{"jobs_failed", "watchdog_preemptions"},
+			fmt.Errorf("jobqueue: job %s preempted by watchdog: no event progress within %s", job.ID, p.cfg.StallWindow)}
+	case e.err == errPreempted:
+		return stopped(e.cause)
+	case e.err != nil:
+		return outcome{StateFailed, diskRemove, []string{"jobs_failed"}, e.err}
 	default:
-		// runGuarded returned neither result, snapshot nor error — only
-		// reachable through a bug; fail loudly rather than wedge waiters.
-		p.counters.Add("jobs_failed", 1)
-		job.markFailed(fmt.Errorf("jobqueue: job %s produced no outcome", job.ID), now)
-		p.removeJobFiles(job.ID)
-		p.finishJob(job, nil, wall)
+		// Only reachable through a bug; fail loudly rather than wedge waiters.
+		return outcome{StateFailed, diskRemove, []string{"jobs_failed"},
+			fmt.Errorf("jobqueue: job %s produced no outcome", job.ID)}
 	}
 }
 
-// park stores a preempted run's snapshot — in memory under the content
-// key (bounded FIFO, like the cache) and on disk as a Parked spec +
-// checkpoint pair so the entry survives a restart without Recover
-// resurrecting the cancelled job as runnable work.
-func (p *Pool) park(job *Job, snap *checkpoint.Snapshot) {
-	if err := p.persistPark(job, snap); err != nil {
-		// Disk park failed: drop the files so a restart cannot see a
-		// half-written pair, and keep the in-memory entry (its loss on
-		// crash costs only the resume optimization).
-		p.counters.Add("persist_errors", 1)
+// terminate moves a job to its decided outcome, always in this order:
+// durable side effects, then the index and cache, then counters, then
+// publish. Publishing last means that once a waiter sees the terminal
+// state, the job's files already say the same (a crash cannot rerun a
+// job a client saw finish) and a resubmission already hits the cache or
+// the park index instead of coalescing onto the finished job.
+func (p *Pool) terminate(job *Job, out outcome, res *Result, snap *checkpoint.Snapshot, wall float64) {
+	counters := out.counters
+	switch out.disk {
+	case diskRemove:
 		p.removeJobFiles(job.ID)
+	case diskPark:
+		if err := p.persistPark(job, snap); err != nil {
+			// Drop the half-written pair so a restart cannot see it; the
+			// in-memory entry still serves resubmissions until a crash.
+			counters = append(counters, "persist_errors")
+			p.removeJobFiles(job.ID)
+		}
+	case diskCheckpoint:
+		if err := p.persistSnapshot(job, snap); err != nil {
+			counters = append(counters, "persist_errors")
+		}
 	}
+	p.finishJob(job, res, wall)
+	if out.disk == diskPark && !p.addParked(job.Key, job.ID, snap) {
+		counters = append(counters, "parked_evicted")
+	}
+	for _, c := range counters {
+		p.counters.Add(c, 1)
+	}
+	job.publishTerminal(out.state, res, out.err, time.Now())
+}
+
+// addParked files a preempted run's snapshot under its content key in
+// the park index, a FIFO bounded by CacheCap like the cache, and removes
+// the files of every entry it drops: the oldest past the cap, or the
+// newcomer itself when its key is already parked (the older entry is
+// kept). It reports whether the newcomer was indexed.
+func (p *Pool) addParked(key, id string, snap *checkpoint.Snapshot) bool {
 	var evicted []string
 	p.mu.Lock()
-	if _, dup := p.parked[job.Key]; !dup {
-		p.parked[job.Key] = &parkedEntry{id: job.ID, snap: snap}
-		p.parkedSeq = append(p.parkedSeq, job.Key)
+	_, dup := p.parked[key]
+	if !dup {
+		p.parked[key] = &parkedEntry{id: id, snap: snap}
+		p.parkedSeq = append(p.parkedSeq, key)
 		for len(p.parkedSeq) > p.cfg.CacheCap {
 			old := p.parkedSeq[0]
 			p.parkedSeq = p.parkedSeq[1:]
@@ -755,17 +763,16 @@ func (p *Pool) park(job *Job, snap *checkpoint.Snapshot) {
 				delete(p.parked, old)
 			}
 		}
-	} else {
-		// A parked entry for this key already exists (possible only
-		// through recovery edge cases); keep the older one.
-		evicted = append(evicted, job.ID)
 	}
 	p.mu.Unlock()
-	p.counters.Add("jobs_parked", 1)
-	for _, id := range evicted {
-		p.counters.Add("parked_evicted", 1)
+	if dup {
 		p.removeJobFiles(id)
 	}
+	for _, eid := range evicted {
+		p.counters.Add("parked_evicted", 1)
+		p.removeJobFiles(eid)
+	}
+	return !dup
 }
 
 // runGuarded dispatches the job to its executor behind a panic
@@ -945,11 +952,11 @@ func (p *Pool) executeRun(job *Job) (*Result, *checkpoint.Snapshot, error) {
 }
 
 // errAbortRestartable marks a chaos run interrupted by a drain whose
-// spec remains persisted; execute maps it to the suspended state.
+// spec remains persisted; decide maps it to the suspended state.
 var errAbortRestartable = fmt.Errorf("jobqueue: aborted by shutdown; restartable from spec")
 
 // errPreempted marks a run stopped by its supervisor without a
-// checkpoint to show for it; execute maps it to a terminal state by the
+// checkpoint to show for it; decide maps it to a terminal state by the
 // job's recorded stop cause.
 var errPreempted = fmt.Errorf("jobqueue: preempted by supervisor")
 

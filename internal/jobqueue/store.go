@@ -109,14 +109,18 @@ func (p *Pool) persistPark(job *Job, snap *checkpoint.Snapshot) error {
 	return durable.WriteFile(p.fsys(), p.specPath(job.ID), data)
 }
 
-// removeJobFiles clears a completed job's persisted state.
+// removeJobFiles clears a finished job's persisted state. The spec goes
+// last: it is what makes Recover act on a job, so a crash between the
+// two removals leaves a restartable spec, never an orphaned checkpoint.
+// Errors are dropped: a file already gone is the goal, and a spec that
+// survives is rerun by the next Recover.
 func (p *Pool) removeJobFiles(id string) {
 	if p.cfg.StateDir == "" {
 		return
 	}
 	fsys := p.fsys()
-	_ = fsys.Remove(p.specPath(id))
 	_ = fsys.Remove(p.ckptPath(id))
+	_ = fsys.Remove(p.specPath(id))
 }
 
 // quarantine moves one damaged state file into StateDir/quarantine,
@@ -241,32 +245,8 @@ func (p *Pool) Recover() (int, error) {
 				p.counters.Add("jobs_quarantined", 1)
 				continue
 			}
-			dup := false
-			var evicted []string
-			p.mu.Lock()
-			if _, ok := p.parked[key]; ok {
-				dup = true
-			} else {
-				p.parked[key] = &parkedEntry{id: id, snap: snap}
-				p.parkedSeq = append(p.parkedSeq, key)
-				for len(p.parkedSeq) > p.cfg.CacheCap {
-					old := p.parkedSeq[0]
-					p.parkedSeq = p.parkedSeq[1:]
-					if ent, ok := p.parked[old]; ok {
-						evicted = append(evicted, ent.id)
-						delete(p.parked, old)
-					}
-				}
-			}
-			p.mu.Unlock()
-			if dup {
-				p.removeJobFiles(id)
-			} else {
+			if p.addParked(key, id, snap) {
 				p.counters.Add("jobs_parked_recovered", 1)
-			}
-			for _, eid := range evicted {
-				p.counters.Add("parked_evicted", 1)
-				p.removeJobFiles(eid)
 			}
 			continue
 		}

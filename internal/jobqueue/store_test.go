@@ -72,12 +72,13 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 }
 
-// recoverInto runs Recover on a fresh, un-started pool over dir and
-// returns the pool plus the recovered count. The torn-write sweep calls
-// it thousands of times; not starting workers keeps each call cheap.
-func recoverInto(t *testing.T, dir string, depth int) (*Pool, int) {
+// recoverInto runs Recover on a fresh, un-started pool over dir on fsys
+// (nil = the real disk) and returns the pool plus the recovered count.
+// The torn-write sweep calls it thousands of times; not starting workers
+// keeps each call cheap.
+func recoverInto(t *testing.T, fsys durable.FS, dir string, depth int) (*Pool, int) {
 	t.Helper()
-	pool := New(Config{Workers: 1, QueueDepth: depth, StateDir: dir, CheckpointEvery: 200})
+	pool := New(Config{Workers: 1, QueueDepth: depth, StateDir: dir, CheckpointEvery: 200, FS: fsys})
 	n, err := pool.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -91,7 +92,9 @@ func recoverInto(t *testing.T, dir string, depth int) (*Pool, int) {
 // error, and every boot must account for the job exactly once — either
 // recovered (healthy or restartable spec) or quarantined (damaged
 // spec), with damaged checkpoints quarantined separately and the job
-// restarted from its spec.
+// restarted from its spec. The pair comes from a real drain on disk;
+// each damaged copy boots from an in-memory FS, so the full sweep runs
+// in every mode.
 func TestTornWriteSweep(t *testing.T) {
 	srcDir, id, _ := buildDrainState(t)
 	specName, ckptName := id+".spec.json", id+".ckpt"
@@ -104,32 +107,37 @@ func TestTornWriteSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := t.TempDir()
-	caseNo := 0
+	const dir = "/state"
 	runCase := func(t *testing.T, spec, ckpt []byte, specDamaged bool) {
 		t.Helper()
-		caseNo++
-		dir := filepath.Join(base, fmt.Sprintf("c%06d", caseNo))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		mem := durable.NewMem()
+		if err := mem.MkdirAll(dir); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, specName), spec, 0o644); err != nil {
-			t.Fatal(err)
+		for name, data := range map[string][]byte{specName: spec, ckptName: ckpt} {
+			f, err := mem.Create(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(data); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(filepath.Join(dir, ckptName), ckpt, 0o644); err != nil {
-			t.Fatal(err)
+		exists := func(path string) bool {
+			_, err := mem.ReadFile(path)
+			return err == nil
 		}
-		pool, n := recoverInto(t, dir, 4)
+		pool, n := recoverInto(t, mem, dir, 4)
 		quarJobs := pool.Counters().Get("jobs_quarantined")
 		if specDamaged {
 			if n != 0 || quarJobs != 1 {
 				t.Fatalf("damaged spec: recovered=%d quarantined=%d, want 0/1", n, quarJobs)
 			}
 			for _, name := range []string{specName, ckptName} {
-				if _, err := os.Stat(filepath.Join(dir, QuarantineDir, name)); err != nil {
-					t.Fatalf("damaged spec: %s not quarantined: %v", name, err)
+				if !exists(filepath.Join(dir, QuarantineDir, name)) {
+					t.Fatalf("damaged spec: %s not quarantined", name)
 				}
-				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+				if exists(filepath.Join(dir, name)) {
 					t.Fatalf("damaged spec: %s left in state dir", name)
 				}
 			}
@@ -142,8 +150,8 @@ func TestTornWriteSweep(t *testing.T) {
 			if got := pool.Counters().Get("checkpoints_quarantined"); got != 1 {
 				t.Fatalf("damaged ckpt: checkpoints_quarantined = %d, want 1", got)
 			}
-			if _, err := os.Stat(filepath.Join(dir, QuarantineDir, ckptName)); err != nil {
-				t.Fatalf("damaged ckpt not quarantined: %v", err)
+			if !exists(filepath.Join(dir, QuarantineDir, ckptName)) {
+				t.Fatal("damaged ckpt not quarantined")
 			}
 			j, ok := pool.Get(id)
 			if !ok {
@@ -159,19 +167,19 @@ func TestTornWriteSweep(t *testing.T) {
 	}
 
 	t.Run("spec-truncations", func(t *testing.T) {
-		for _, n := range sweepOffsets(len(specData)) {
+		for n := range len(specData) {
 			runCase(t, specData[:n], ckptData, true)
 		}
 	})
 	t.Run("spec-bitflips", func(t *testing.T) {
-		for _, off := range sweepOffsets(len(specData)) {
+		for off := range len(specData) {
 			mutated := append([]byte(nil), specData...)
 			mutated[off] ^= 0x10
 			runCase(t, mutated, ckptData, true)
 		}
 	})
 	t.Run("ckpt-truncations", func(t *testing.T) {
-		for _, n := range sweepOffsets(len(ckptData)) {
+		for n := range len(ckptData) {
 			runCase(t, specData, ckptData[:n], false)
 		}
 	})
@@ -179,33 +187,12 @@ func TestTornWriteSweep(t *testing.T) {
 		// The durable frame's CRC catches any flip before the snapshot
 		// codec ever parses; sweep every offset so the whole file —
 		// header, codec magic, payload, trailer — is covered.
-		for _, off := range sweepOffsets(len(ckptData)) {
+		for off := range len(ckptData) {
 			mutated := append([]byte(nil), ckptData...)
 			mutated[off] ^= 0x10
 			runCase(t, specData, mutated, false)
 		}
 	})
-}
-
-// sweepOffsets enumerates every offset in [0, n) — the full byte-level
-// sweep the durability claim is stated over. Under -short the interior
-// is strided (keeping the first 64 and last 32 bytes dense, which
-// crosses every frame-header and codec boundary) so race-enabled CI
-// stays fast without giving up edge coverage.
-func sweepOffsets(n int) []int {
-	offs := make([]int, 0, n)
-	if !testing.Short() {
-		for i := 0; i < n; i++ {
-			offs = append(offs, i)
-		}
-		return offs
-	}
-	for i := 0; i < n; i++ {
-		if i < 64 || i >= n-32 || i%17 == 0 {
-			offs = append(offs, i)
-		}
-	}
-	return offs
 }
 
 // TestTornWriteRecoveredRunsFinish closes the loop on the sweep: after
@@ -240,7 +227,7 @@ func TestTornWriteRecoveredRunsFinish(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pool, n := recoverInto(t, dir, 4)
+			pool, n := recoverInto(t, nil, dir, 4)
 			if n != 1 {
 				t.Fatalf("recovered %d jobs, want 1", n)
 			}
@@ -272,7 +259,7 @@ func TestRecoverSweepsTmpAndOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, n := recoverInto(t, dir, 4)
+	pool, n := recoverInto(t, nil, dir, 4)
 	if n != 0 {
 		t.Fatalf("recovered %d jobs from garbage, want 0", n)
 	}
@@ -322,7 +309,7 @@ func TestRecoverQueueOverflowLeftovers(t *testing.T) {
 		writeSpecFileRaw(t, dir, fmt.Sprintf("j-%06d", i), testSpec(int64(80+i)))
 	}
 
-	pool1, n := recoverInto(t, dir, 2)
+	pool1, n := recoverInto(t, nil, dir, 2)
 	if n != 2 {
 		t.Fatalf("first boot recovered %d jobs with QueueDepth=2, want 2", n)
 	}
@@ -340,7 +327,7 @@ func TestRecoverQueueOverflowLeftovers(t *testing.T) {
 
 	// The four overflow jobs were untouched: still on disk, recovered by
 	// the next boot.
-	pool2, n := recoverInto(t, dir, 8)
+	pool2, n := recoverInto(t, nil, dir, 8)
 	if n != 4 {
 		t.Fatalf("second boot recovered %d jobs, want the 4 leftovers", n)
 	}
@@ -365,7 +352,7 @@ func TestRecoverDuplicateKeyCollapse(t *testing.T) {
 	writeSpecFileRaw(t, dir, "j-000002", spec)
 	writeSpecFileRaw(t, dir, "j-000003", testSpec(92))
 
-	pool, n := recoverInto(t, dir, 8)
+	pool, n := recoverInto(t, nil, dir, 8)
 	if n != 2 {
 		t.Fatalf("recovered %d jobs, want 2 (duplicate collapsed)", n)
 	}
@@ -391,7 +378,7 @@ func TestRecoverAdvancesIDSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool, n := recoverInto(t, dir, 8)
+	pool, n := recoverInto(t, nil, dir, 8)
 	if n != 1 {
 		t.Fatalf("recovered %d jobs, want 1", n)
 	}
